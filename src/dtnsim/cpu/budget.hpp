@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "dtnsim/util/units.hpp"
+#include "dtnsim/units/units.hpp"
 
 namespace dtnsim::cpu {
 

@@ -606,7 +606,8 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
         s.tel->perf().arm(s.engine, s.tel->config().perf_interval, horizon);
       }
     }
-    // Probe armed after the ss watch: coincident samples see a fresh report.
+    // Probe armed after the ss watch: at equal periods it samples second
+    // (see Engine::every) and sees this instant's report.
     s.tel->probe().arm(s.engine, horizon, [&s](Nanos now) {
       const double sec = units::to_seconds(now);
       s.pkt.goodput->set(sec > 0.0 ? units::rate_of(s.res.delivered_bytes, sec) : 0.0);

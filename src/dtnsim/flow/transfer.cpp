@@ -179,9 +179,9 @@ void TransferSimulation::setup_telemetry(sim::Engine& engine) {
     in.ss->optmem_inflight.assign(n, 0.0);
     in.ss->rcv_ooo.assign(n, 0.0);
     tel_->ss().set_source([this](Nanos now) { return build_ss_report(now); });
-    // Armed before the probe: at coincident timestamps the ss sample lands
-    // first, so the probe's cross-check compares against this instant's
-    // report rather than a stale one.
+    // Armed before the probe: at equal periods the ss sample lands first
+    // (see Engine::every), so the probe's cross-check compares against this
+    // instant's report rather than a stale one.
     if (tel_->config().ss_interval > 0) {
       tel_->ss().arm(engine, tel_->config().ss_interval, cfg_.duration.nanos());
     }
@@ -240,16 +240,11 @@ TransferResult TransferSimulation::run() {
             cfg_.flow.zerocopy ? ", zerocopy" : "",
             cfg_.flow.fq_rate_bps > 0 ? ", paced" : "");
 
-  // Self-rescheduling round tick on the event engine.
-  std::function<void()> round = [&] {
-    const double now_sec = units::to_seconds(engine.now());
-    tick(dt, now_sec);
-    if (engine.now() + tick_ns <= cfg_.duration.nanos()) {
-      engine.schedule(tick_ns, round);
-    }
-  };
-  engine.schedule(tick_ns, round);
-  // Probe events land after the round tick at coincident timestamps.
+  // The round is armed before the samplers; Engine::every states the
+  // coincident order that follows. The first round always runs, even when
+  // the run is shorter than one tick.
+  engine.every(tick_ns, std::max(cfg_.duration.nanos(), tick_ns),
+               [&] { tick(dt, units::to_seconds(engine.now())); });
   setup_telemetry(engine);
   engine.run();
   if (tel_ && tel_->wants_ss()) {

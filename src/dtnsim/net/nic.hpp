@@ -14,7 +14,7 @@
 
 #include <string>
 
-#include "dtnsim/util/units.hpp"
+#include "dtnsim/units/units.hpp"
 
 namespace dtnsim::net {
 

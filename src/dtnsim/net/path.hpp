@@ -9,8 +9,8 @@
 
 #include <string>
 
+#include "dtnsim/units/units.hpp"
 #include "dtnsim/util/rng.hpp"
-#include "dtnsim/util/units.hpp"
 
 namespace dtnsim::net {
 

@@ -15,7 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dtnsim/util/units.hpp"
+#include "dtnsim/units/units.hpp"
 
 namespace dtnsim::net {
 

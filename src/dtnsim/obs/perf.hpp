@@ -9,7 +9,7 @@
 // carrying per-core and per-flow cycle totals, text renderers (perf
 // report-style table + Brendan Gregg collapsed stacks), a JSON round-trip
 // for dtnsim-perf --json/--replay, and PerfWatch — an SsWatch-style
-// self-rescheduling sampler with perf.* mirror gauges.
+// periodic sampler with perf.* mirror gauges.
 //
 // Attribution is exact, not sampled: each engine splits the exact charge it
 // makes against its core budgets into stages, so summed stage cycles must
@@ -146,8 +146,8 @@ using PerfSnapshotFn = std::function<PerfReport(Nanos)>;
 // the whole perf view a fabrication. PerfWatch runs this on every sample.
 void cross_check_stage_sum(const PerfReport& report);
 
-// The `perf`-side sampler. Like SsWatch it self-reschedules on the engine
-// clock; each firing pulls a report from the installed PerfSnapshotFn,
+// The `perf`-side sampler. Like SsWatch it fires through Engine::every;
+// each firing pulls a report from the installed PerfSnapshotFn,
 // cross-checks the stage sums, appends to the in-memory log, and mirrors
 // headline figures into perf.* registry gauges plus a trace instant. With
 // no source installed sampling throws (arming without an engine is a setup
@@ -180,7 +180,6 @@ class PerfWatch {
   TraceSink* trace_;
   PerfSnapshotFn source_;
   std::vector<PerfReport> log_;
-  std::shared_ptr<std::function<void()>> fire_;  // owner of the sampler event
 
   // perf.* mirror gauges, registered on first sample so a watch-less run
   // never widens the metric table.

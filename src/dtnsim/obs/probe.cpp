@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <memory>
 
 #include "dtnsim/util/csv.hpp"
 #include "dtnsim/util/strfmt.hpp"
@@ -127,20 +126,8 @@ void FlowProbe::sample(Nanos now) {
 void FlowProbe::arm(sim::Engine& engine, Nanos horizon,
                     std::function<void(Nanos)> pre_sample) {
   pre_sample_ = std::move(pre_sample);
-  // Self-rescheduling sampler, scheduled *after* the model's round tick at
-  // coincident timestamps because arm() runs after the tick is scheduled.
-  // The probe owns the callback; scheduled copies hold only a weak_ptr so
-  // there is no shared_ptr cycle.
-  fire_ = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = fire_;
-  *fire_ = [this, &engine, horizon, weak] {
-    sample(engine.now());
-    const auto self = weak.lock();
-    if (self && engine.now() + interval_ <= horizon) {
-      engine.schedule(interval_, *self);
-    }
-  };
-  if (interval_ <= horizon) engine.schedule(interval_, *fire_);
+  // Where a sample lands among coincident model events: see Engine::every.
+  engine.every(interval_, horizon, [this, &engine] { sample(engine.now()); });
 }
 
 }  // namespace dtnsim::obs

@@ -1,15 +1,14 @@
 // Per-flow probe: the simulator's `iperf3 -i 1`.
 //
-// A self-rescheduling engine event samples every metric in a Registry at a
-// fixed simulated-time interval and appends the values to a SeriesTable.
-// Sampling happens on the engine clock *after* same-timestamp model events
-// (events fire in scheduling order), so a sample reflects the tick that
-// just completed. Optionally mirrors key series into a TraceSink as chrome
-// counter tracks so Perfetto plots them alongside the instant events.
+// A periodic engine event (Engine::every) samples every metric in a
+// Registry at a fixed simulated-time interval and appends the values to a
+// SeriesTable. Engine::every also states where a sample lands among model
+// events at the same timestamp: a 1 s LAN sample at t precedes the round
+// at t. Optionally mirrors key series into a TraceSink as chrome counter
+// tracks so Perfetto plots them alongside the instant events.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,7 +79,6 @@ class FlowProbe {
   SeriesTable table_;
   std::function<void(Nanos)> pre_sample_;
   std::function<void(Nanos)> cross_check_;
-  std::shared_ptr<std::function<void()>> fire_;  // owner of the sampler event
 };
 
 }  // namespace dtnsim::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <memory>
 #include <stdexcept>
 
 #include "dtnsim/util/strfmt.hpp"
@@ -414,17 +413,7 @@ void SsWatch::mirror(const SsReport& r) {
 }
 
 void SsWatch::arm(sim::Engine& engine, Nanos interval, Nanos horizon) {
-  const Nanos step = std::max<Nanos>(interval, 1);
-  fire_ = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = fire_;
-  *fire_ = [this, &engine, step, horizon, weak] {
-    sample(engine.now());
-    const auto self = weak.lock();
-    if (self && engine.now() + step <= horizon) {
-      engine.schedule(step, *self);
-    }
-  };
-  if (step <= horizon) engine.schedule(step, *fire_);
+  engine.every(interval, horizon, [this, &engine] { sample(engine.now()); });
 }
 
 }  // namespace dtnsim::obs

@@ -6,7 +6,7 @@
 // This header defines plain-data snapshot structs mirroring the fields the
 // model can honestly populate, text formatters shaped like the real tools'
 // output, a JSON round-trip (dtnsim-ss --json / --replay), and SsWatch: a
-// self-rescheduling sampler (the `ss` analogue of FlowProbe's iperf3 -i)
+// periodic sampler (the `ss` analogue of FlowProbe's iperf3 -i)
 // that pulls an SsReport from the engine on the simulation clock and
 // mirrors headline fields into the shared Registry/trace sinks.
 //
@@ -132,11 +132,11 @@ using SnapshotFn = std::function<SsReport(Nanos)>;
 // the "ss view" and the "iperf3 view" of one run disagree.
 void cross_check_delivered(const SsReport& report, const Registry& registry);
 
-// The `ss`-side sampler. Like FlowProbe it self-reschedules on the engine
-// clock; each firing pulls a report from the installed SnapshotFn, appends
-// it to the in-memory log, mirrors headline fields into ss.* registry
-// gauges, and drops an instant into the trace. With no source installed
-// sampling throws (arming without an engine attached is a setup bug).
+// The `ss`-side sampler. Like FlowProbe it fires through Engine::every;
+// each firing pulls a report from the installed SnapshotFn, appends it to
+// the in-memory log, mirrors headline fields into ss.* registry gauges,
+// and drops an instant into the trace. With no source installed sampling
+// throws (arming without an engine attached is a setup bug).
 class SsWatch {
  public:
   // `registry` must outlive the watch. `trace` may be null (no mirroring).
@@ -167,7 +167,6 @@ class SsWatch {
   TraceSink* trace_;
   SnapshotFn source_;
   std::vector<SsReport> log_;
-  std::shared_ptr<std::function<void()>> fire_;  // owner of the sampler event
 
   // ss.* mirror gauges, registered on first sample so a watch-less run
   // never widens the metric table.

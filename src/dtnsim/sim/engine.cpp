@@ -1,56 +1,47 @@
 #include "dtnsim/sim/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "dtnsim/util/log.hpp"
 
 namespace dtnsim::sim {
 
-EventHandle Engine::schedule(Nanos delay, EventQueue::Callback fn) {
-  return schedule_at(now_ + std::max<Nanos>(delay, 0), std::move(fn));
+void Engine::schedule(Nanos delay, EventQueue::Callback fn) {
+  schedule_at(now_ + std::max<Nanos>(delay, 0), std::move(fn));
 }
 
-EventHandle Engine::schedule_at(Nanos when, EventQueue::Callback fn) {
-  return queue_.push(std::max(when, now_), std::move(fn));
+void Engine::schedule_at(Nanos when, EventQueue::Callback fn) {
+  queue_.push(std::max(when, now_), std::move(fn));
 }
 
-void Engine::run() {
-  // Log lines emitted from event callbacks carry the simulated clock so
-  // they line up with probe samples and trace timestamps.
-  log::ScopedTimeSource clock([this] { return now_; });
-  Nanos t = 0;
-  while (auto fn = queue_.pop(&t)) {
-    now_ = t;
-    ++executed_;
-    fn();
-  }
+void Engine::every(Nanos period, Nanos until, EventQueue::Callback fn) {
+  period = std::max<Nanos>(period, 1);
+  if (until - now_ < period) return;
+  queue_.push({now_ + period, std::move(fn), period, until});
 }
+
+void Engine::run() { drain(std::numeric_limits<Nanos>::max()); }
 
 void Engine::run_until(Nanos until) {
-  log::ScopedTimeSource clock([this] { return now_; });
-  while (!queue_.empty() && queue_.next_time() <= until) {
-    Nanos t = 0;
-    auto fn = queue_.pop(&t);
-    if (!fn) break;
-    now_ = t;
-    ++executed_;
-    fn();
-  }
+  drain(until);
   now_ = std::max(now_, until);
 }
 
-std::size_t Engine::step(std::size_t n) {
-  std::size_t ran = 0;
-  while (ran < n) {
-    Nanos t = 0;
-    auto fn = queue_.pop(&t);
-    if (!fn) break;
-    now_ = t;
+void Engine::drain(Nanos until) {
+  // Log lines emitted from event callbacks carry the simulated clock so
+  // they line up with probe samples and trace timestamps.
+  log::ScopedTimeSource clock([this] { return now_; });
+  while (!queue_.empty() && queue_.next_time() <= until) {
+    EventQueue::Event ev = queue_.pop();
+    now_ = ev.time;
     ++executed_;
-    fn();
-    ++ran;
+    ev.fn();
+    if (ev.period > 0 && ev.until - ev.time >= ev.period) {
+      ev.time += ev.period;
+      queue_.push(std::move(ev));
+    }
   }
-  return ran;
 }
 
 }  // namespace dtnsim::sim

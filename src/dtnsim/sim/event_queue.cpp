@@ -1,45 +1,39 @@
 #include "dtnsim/sim/event_queue.hpp"
 
+#include <algorithm>
+
 namespace dtnsim::sim {
 
-void EventHandle::cancel() {
-  if (cancelled_) *cancelled_ = true;
-}
+namespace {
 
-EventHandle EventQueue::push(Nanos time, Callback fn) {
-  auto flag = std::make_shared<bool>(false);
-  heap_.push(Entry{time, next_seq_++, std::move(fn), flag});
-  ++live_;
-  return EventHandle(flag);
-}
-
-void EventQueue::drop_cancelled() const {
-  while (!heap_.empty() && *heap_.top().cancelled) {
-    heap_.pop();
-    --live_;
+// Heap order: `a` ranks below `b` when it fires later.
+struct Later {
+  template <typename E>
+  bool operator()(const E& a, const E& b) const {
+    if (a.ev.time != b.ev.time) return a.ev.time > b.ev.time;
+    return a.seq > b.seq;
   }
+};
+
+}  // namespace
+
+void EventQueue::push(Event ev) {
+  heap_.push_back(Entry{std::move(ev), next_seq_++});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-bool EventQueue::empty() const {
-  drop_cancelled();
-  return heap_.empty();
-}
-
-Nanos EventQueue::next_time() const {
-  drop_cancelled();
-  return heap_.empty() ? -1 : heap_.top().time;
+EventQueue::Event EventQueue::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back().ev);
+  heap_.pop_back();
+  return ev;
 }
 
 EventQueue::Callback EventQueue::pop(Nanos* time_out) {
-  drop_cancelled();
   if (heap_.empty()) return {};
-  // priority_queue::top is const; the callback must be moved out, so copy the
-  // shared bits and pop. Entries are small apart from the std::function.
-  Entry top = heap_.top();
-  heap_.pop();
-  --live_;
-  if (time_out) *time_out = top.time;
-  return std::move(top.fn);
+  Event ev = pop();
+  if (time_out) *time_out = ev.time;
+  return std::move(ev.fn);
 }
 
 }  // namespace dtnsim::sim

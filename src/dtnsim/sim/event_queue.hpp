@@ -1,71 +1,53 @@
 // Event queue for the discrete-event engine.
 //
 // Events fire in (time, sequence) order: equal-time events run in the order
-// they were scheduled, which keeps runs deterministic regardless of heap
-// internals. Events can be cancelled through the handle returned at
-// scheduling time.
+// they were pushed, which keeps runs deterministic regardless of heap
+// internals. Entries are moved in and out, never copied.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
 #include <vector>
 
-#include "dtnsim/util/units.hpp"
+#include "dtnsim/units/units.hpp"
 
 namespace dtnsim::sim {
-
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  // Cancel the event if it has not fired yet. Safe to call repeatedly.
-  void cancel();
-  bool valid() const { return static_cast<bool>(cancelled_); }
-  bool cancelled() const { return cancelled_ && *cancelled_; }
-
- private:
-  friend class EventQueue;
-  explicit EventHandle(std::shared_ptr<bool> flag) : cancelled_(std::move(flag)) {}
-  std::shared_ptr<bool> cancelled_;
-};
 
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  EventHandle push(Nanos time, Callback fn);
+  struct Event {
+    Nanos time = 0;
+    Callback fn;
+    // Carried for Engine::every, which re-queues the event at time + period
+    // while that is <= until. The queue itself never reads them.
+    Nanos period = 0;
+    Nanos until = 0;
+  };
 
-  bool empty() const;
-  std::size_t size() const { return live_; }
+  void push(Event ev);
+  void push(Nanos time, Callback fn) { push(Event{time, std::move(fn)}); }
 
-  // Time of the earliest live event; engine asserts non-empty first.
-  Nanos next_time() const;
+  bool empty() const { return heap_.empty(); }
 
-  // Pop and return the earliest live event's callback (skipping cancelled
-  // entries). Returns an empty function if the queue is exhausted.
+  // Time of the earliest event, or -1 if the queue is empty.
+  Nanos next_time() const { return heap_.empty() ? -1 : heap_.front().ev.time; }
+
+  // Remove and return the earliest event. The queue must not be empty.
+  Event pop();
+  // Pop the earliest event's callback. Returns an empty function if the
+  // queue is exhausted.
   Callback pop(Nanos* time_out);
 
  private:
   struct Entry {
-    Nanos time;
+    Event ev;
     std::uint64_t seq;
-    Callback fn;
-    std::shared_ptr<bool> cancelled;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
   };
 
-  void drop_cancelled() const;
-
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<Entry> heap_;  // binary heap, earliest (time, seq) at front
   std::uint64_t next_seq_ = 0;
-  mutable std::size_t live_ = 0;
 };
 
 }  // namespace dtnsim::sim

@@ -1,6 +1,7 @@
 // Unit tests: discrete-event engine and event queue.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "dtnsim/sim/engine.hpp"
@@ -26,41 +27,6 @@ TEST(EventQueue, EqualTimesFifo) {
   Nanos t = 0;
   while (auto fn = q.pop(&t)) fn();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool fired = false;
-  auto h = q.push(10, [&] { fired = true; });
-  h.cancel();
-  EXPECT_TRUE(q.empty());
-  Nanos t = 0;
-  EXPECT_FALSE(q.pop(&t));
-  EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, CancelOnlyAffectsTarget) {
-  EventQueue q;
-  int fired = 0;
-  q.push(10, [&] { ++fired; });
-  auto h = q.push(20, [&] { fired += 100; });
-  q.push(30, [&] { ++fired; });
-  h.cancel();
-  Nanos t = 0;
-  while (auto fn = q.pop(&t)) fn();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, SizeTracksLiveEvents) {
-  EventQueue q;
-  auto h1 = q.push(1, [] {});
-  q.push(2, [] {});
-  EXPECT_EQ(q.size(), 2u);
-  h1.cancel();
-  EXPECT_TRUE(!q.empty());
-  Nanos t = 0;
-  q.pop(&t);
-  EXPECT_EQ(t, 2);
 }
 
 TEST(Engine, NowAdvancesWithEvents) {
@@ -120,13 +86,65 @@ TEST(Engine, SelfReschedulingChain) {
   EXPECT_EQ(e.now(), 1000);
 }
 
-TEST(Engine, StepExecutesBoundedCount) {
+TEST(Engine, EveryFiresAtExactMultiplesThroughUntil) {
+  Engine e;
+  std::vector<Nanos> at;
+  e.every(100, 500, [&] { at.push_back(e.now()); });
+  e.run();
+  EXPECT_EQ(at, (std::vector<Nanos>{100, 200, 300, 400, 500}));
+  EXPECT_EQ(e.events_executed(), 5u);
+
+  // Counted from now(); an `until` between multiples stops one short of it.
+  at.clear();
+  e.every(100, 950, [&] { at.push_back(e.now()); });
+  e.run();
+  EXPECT_EQ(at, (std::vector<Nanos>{600, 700, 800, 900}));
+
+  // A zero period is clamped to 1 ns.
+  at.clear();
+  e.every(0, 903, [&] { at.push_back(e.now()); });
+  e.run();
+  EXPECT_EQ(at, (std::vector<Nanos>{901, 902, 903}));
+}
+
+TEST(Engine, EveryNeverFiresWhenPeriodExceedsUntil) {
   Engine e;
   int fired = 0;
-  for (int i = 0; i < 5; ++i) e.schedule(i + 1, [&] { ++fired; });
-  EXPECT_EQ(e.step(3), 3u);
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(e.step(10), 2u);
+  e.every(600, 500, [&] { ++fired; });
+  e.run_until(1000);
+  e.every(100, 1050, [&] { ++fired; });
+  e.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(e.events_executed(), 0u);
+}
+
+TEST(Engine, EveryRequeuesOnlyAfterCallbackReturns) {
+  // A one-shot pushed from inside the callback for the next firing's time
+  // was queued before the re-queue, so it runs first.
+  Engine e;
+  std::vector<std::string> log;
+  e.every(100, 200, [&] {
+    log.push_back("P" + std::to_string(e.now()));
+    e.schedule(100, [&] { log.push_back("O" + std::to_string(e.now())); });
+  });
+  e.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"P100", "O200", "P200", "O300"}));
+}
+
+TEST(Engine, EveryCoincidentOrderLongerPeriodFirstThenArmOrder) {
+  // Armed like the fluid engine: round first, then two samplers.
+  Engine e;
+  std::vector<std::string> at10;
+  const auto source = [&](const char* name) {
+    return [&e, &at10, name] {
+      if (e.now() == 10) at10.emplace_back(name);
+    };
+  };
+  e.every(2, 10, source("round"));
+  e.every(2, 10, source("ss"));
+  e.every(10, 10, source("probe"));
+  e.run();
+  EXPECT_EQ(at10, (std::vector<std::string>{"probe", "round", "ss"}));
 }
 
 TEST(Engine, EventsScheduledInsideCallbacksRun) {
