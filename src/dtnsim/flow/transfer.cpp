@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "dtnsim/kern/gro.hpp"
 #include "dtnsim/kern/gso.hpp"
@@ -47,6 +48,26 @@ TransferSimulation::TransferSimulation(TransferConfig cfg)
       cpu::assess_placement(receiver_.topology(), receiver_.sample_placement(n, rng_));
   snd_cost_ = std::make_unique<cpu::CostModel>(sender_.make_cost_model(snd_quality_));
   rcv_cost_ = std::make_unique<cpu::CostModel>(receiver_.make_cost_model(rcv_quality_));
+
+  zc_req_ = cfg_.flow.zerocopy && sender_.zerocopy_available();
+  mtu_ = std::min(cfg_.sender.tuning.mtu_bytes, cfg_.receiver.tuning.mtu_bytes);
+  gso_bytes_ =
+      kern::effective_gso_bytes(sender_.skb_caps(), zc_req_, units::Bytes(mtu_)).value();
+  gro_bytes_ = kern::effective_gro_bytes(receiver_.skb_caps(), units::Bytes(mtu_)).value();
+  snd_core_hz_ = sender_.app_core_hz();
+  rcv_core_hz_ = receiver_.app_core_hz();
+  snd_dma_bps_ = snd_cost_->dma_throughput_cap_bps();
+  rcv_dma_bps_ = rcv_cost_->dma_throughput_cap_bps();
+  rcv_hw_gro_ = receiver_.hw_gro_active();
+  net::NicSpec rx_nic = cfg_.receiver.nic;
+  if (rcv_hw_gro_) {
+    // SHAMPO merges in hardware and splits headers from data: the NIC-to-
+    // kernel drain path survives far denser trains.
+    rx_nic.drain_burst_bps *= 1.6;
+    rx_nic.drain_smooth_bps *= 1.3;
+  }
+  nic_rx_.emplace(rx_nic, cfg_.receiver.tuning.ring_descriptors, mtu_,
+                  cfg_.link_flow_control);
 
   // Run-to-run variation from page placement / cache luck — the whiskers on
   // every plot in the paper.
@@ -323,13 +344,16 @@ void TransferSimulation::apply_scenario(double now_sec) {
   path_.set_spec(ps);
 
   // NIC / qdisc / sysctl overlays land in cfg_, which the tick also
-  // re-reads every round (NicRx is rebuilt per tick).
+  // re-reads every round; the ring and pause overlays reach the round
+  // through a rebuilt NicRx.
   cfg_.receiver.tuning.ring_descriptors =
       e.ring_descriptors >= 0.0
           ? static_cast<int>(std::lround(e.ring_descriptors))
           : scn_base_ring_;
   cfg_.link_flow_control =
       e.pause_frames < 0 ? scn_base_lfc_ : e.pause_frames == 1;
+  nic_rx_ = net::NicRx(nic_rx_->spec(), cfg_.receiver.tuning.ring_descriptors, mtu_,
+                       cfg_.link_flow_control);
   cfg_.sender.tuning.sysctl.default_qdisc =
       e.qdisc < 0 ? scn_base_qdisc_
                   : (e.qdisc == 1 ? kern::QdiscKind::Fq : kern::QdiscKind::FqCodel);
@@ -376,36 +400,27 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   const double rtt = std::max(path_.spec().rtt_sec(), 1e-6);
   Instruments* const in = instr_.get();
   const Nanos now_ns = engine_ ? engine_->now() : units::seconds(now_sec);
-  const bool zc_req = cfg_.flow.zerocopy && sender_.zerocopy_available();
   const bool qdisc_can_pace =
       cfg_.sender.tuning.sysctl.default_qdisc == kern::QdiscKind::Fq;
   const double fq_rate = qdisc_can_pace ? cfg_.flow.fq_rate_bps : 0.0;
-
-  const auto snd_caps = sender_.skb_caps();
-  const auto rcv_caps = receiver_.skb_caps();
-  const double mtu =
-      std::min(cfg_.sender.tuning.mtu_bytes, cfg_.receiver.tuning.mtu_bytes);
-  const double gso =
-      kern::effective_gso_bytes(snd_caps, zc_req, units::Bytes(mtu)).value();
-  const double gro = kern::effective_gro_bytes(rcv_caps, units::Bytes(mtu)).value();
 
   const double snd_wnd_max = cfg_.sender.tuning.sysctl.max_send_window_bytes();
   const double rcv_wnd_max = cfg_.receiver.tuning.sysctl.max_recv_window_bytes();
 
   const double eff = run_efficiency_;
-  const double snd_app_budget = sender_.app_core_hz() * dt_sec * eff;  // per flow
-  const double rcv_app_budget = receiver_.app_core_hz() * dt_sec * eff;
-  const double snd_irq_budget = sender_.app_core_hz() *
+  const double snd_app_budget = snd_core_hz_ * dt_sec * eff;  // per flow
+  const double rcv_app_budget = rcv_core_hz_ * dt_sec * eff;
+  const double snd_irq_budget = snd_core_hz_ *
                                 static_cast<double>(sender_.irq_core_count()) * dt_sec * eff;
-  double rcv_irq_budget = receiver_.app_core_hz() *
+  double rcv_irq_budget = rcv_core_hz_ *
                           static_cast<double>(receiver_.irq_core_count()) * dt_sec * eff;
   // Scenario IRQ-core degradation (noisy neighbor stealing drain cycles).
   if (scn_) rcv_irq_budget *= scn_irq_mult_;
   const double snd_mem_budget = sender_.stack_mem_bw_bytes() * dt_sec * eff;
   const double rcv_mem_budget = receiver_.stack_mem_bw_bytes() * dt_sec * eff;
   const double line_bytes = sender_.config().nic.line_rate_bps * dt_sec / 8.0;
-  const double snd_dma_bytes = sender_.dma_cap_bps() * dt_sec / 8.0;
-  const double rcv_dma_bytes = receiver_.dma_cap_bps() * dt_sec / 8.0;
+  const double snd_dma_bytes = snd_dma_bps_ * dt_sec / 8.0;
+  const double rcv_dma_bytes = rcv_dma_bps_ * dt_sec / 8.0;
 
   // ---- Sender: plan each flow -------------------------------------------
   units::Cycles snd_app_used{0.0};
@@ -438,15 +453,16 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
 
     // Zerocopy split (preview only; commitment happens after global caps).
     double zc_frac = 0.0, fb_frac = 0.0;
-    if (zc_req && desired > 0) {
-      const auto plan = f.zc_socket.preview_send(units::Bytes(desired), units::Bytes(gso));
+    if (zc_req_ && desired > 0) {
+      const auto plan =
+          f.zc_socket.preview_send(units::Bytes(desired), units::Bytes(gso_bytes_));
       zc_frac = (plan.zc_bytes + plan.fallback_bytes) / desired;
       fb_frac = plan.fallback_bytes / desired;
     }
 
     cpu::TxPathConfig txc;
-    txc.gso_bytes = gso;
-    txc.mtu_bytes = mtu;
+    txc.gso_bytes = gso_bytes_;
+    txc.mtu_bytes = mtu_;
     txc.zc_fraction = zc_frac;
     txc.zc_fallback_fraction = fb_frac;
     // In-flight data over one RTT is what thrashes the L3; the previous
@@ -474,8 +490,8 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
 
   // ---- Sender: shared resource scaling ----------------------------------
   cpu::TxPathConfig irq_cfg;  // per-byte IRQ cost is geometry-only
-  irq_cfg.gso_bytes = gso;
-  irq_cfg.mtu_bytes = mtu;
+  irq_cfg.gso_bytes = gso_bytes_;
+  irq_cfg.mtu_bytes = mtu_;
   const double tx_irq_pb = snd_cost_->tx_irq_cyc_per_byte(irq_cfg);
   cpu::TxIrqStageCyc tx_irq_spb{};
   if (in && in->perf) tx_irq_spb = snd_cost_->tx_irq_stage_cyc(irq_cfg);
@@ -485,7 +501,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
     total_planned += f.planned_bytes;
     total_irq_need += f.planned_bytes * tx_irq_pb;
     cpu::TxPathConfig mc = irq_cfg;
-    mc.zc_fraction = zc_req ? 1.0 : 0.0;  // approximate: zc flows mostly zc
+    mc.zc_fraction = zc_req_ ? 1.0 : 0.0;  // approximate: zc flows mostly zc
     total_mem_need += f.planned_bytes * snd_cost_->tx_mem_passes(mc);
   }
   const double s_irq = scale_factor(total_irq_need, snd_irq_budget);
@@ -499,8 +515,9 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   double group_sent = 0.0;
   for (auto& f : flows_) {
     f.sent_bytes = f.planned_bytes * s;
-    if (zc_req && f.sent_bytes > 0) {
-      const auto plan = f.zc_socket.plan_send(units::Bytes(f.sent_bytes), units::Bytes(gso));
+    if (zc_req_ && f.sent_bytes > 0) {
+      const auto plan =
+          f.zc_socket.plan_send(units::Bytes(f.sent_bytes), units::Bytes(gso_bytes_));
       f.zc_planned = plan.zc_bytes;
       f.fb_planned = plan.fallback_bytes;
     } else {
@@ -609,7 +626,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   }
 
   // ---- Path transit (aggregate) ------------------------------------------
-  const double smoothness = !paced_traffic ? 1.0 : (zc_req ? 1.25 : 1.08);
+  const double smoothness = !paced_traffic ? 1.0 : (zc_req_ ? 1.25 : 1.08);
   const auto transit =
       path_.transit(units::Bytes(group_sent), dt_sec, paced_traffic, smoothness, rng_);
   dropped_path_ += transit.dropped_bytes;
@@ -708,20 +725,11 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   }
 
   // ---- Receiver NIC per flow ---------------------------------------------
-  net::NicSpec rx_nic = cfg_.receiver.nic;
-  if (receiver_.hw_gro_active()) {
-    // SHAMPO merges in hardware and splits headers from data: the NIC-to-
-    // kernel drain path survives far denser trains.
-    rx_nic.drain_burst_bps *= 1.6;
-    rx_nic.drain_smooth_bps *= 1.3;
-  }
-  net::NicRx nic_rx(rx_nic, cfg_.receiver.tuning.ring_descriptors, mtu,
-                    cfg_.link_flow_control);
   cpu::RxPathConfig rxc;
-  rxc.gro_bytes = gro;
-  rxc.mtu_bytes = mtu;
+  rxc.gro_bytes = gro_bytes_;
+  rxc.mtu_bytes = mtu_;
   rxc.copy_to_user = !cfg_.flow.skip_rx_copy;
-  rxc.hw_gro = receiver_.hw_gro_active();
+  rxc.hw_gro = rcv_hw_gro_;
   const double rx_app_pb = rcv_cost_->rx_app_cyc_per_byte(rxc);
   const double rx_irq_pb = rcv_cost_->rx_irq_cyc_per_byte(rxc);
   const double rx_mem_passes = rcv_cost_->rx_mem_passes(rxc);
@@ -739,7 +747,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
     net::RxArrival arr;
     arr.bytes = f.arrived_bytes;
     arr.paced = paced_traffic;
-    const auto verdict = nic_rx.process(arr, dt_sec, rtt);
+    const auto verdict = nic_rx_->process(arr, dt_sec, rtt);
     dropped_nic_ += verdict.dropped_bytes;
     tick_nic_drops += verdict.dropped_bytes;
     tick_ring_occ = std::max(tick_ring_occ, verdict.ring_occupancy_frac);
@@ -778,7 +786,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
       // Transient ring overrun: one flow eats a modest burst loss.
       auto& victim = flows_[static_cast<std::size_t>(
           rng_.uniform_int(0, static_cast<std::int64_t>(flows_.size()) - 1))];
-      const double burst = std::min(victim.arrived_bytes, 40.0 * mtu);
+      const double burst = std::min(victim.arrived_bytes, 40.0 * mtu_);
       victim.lost_bytes += burst;
       dropped_nic_ += burst;
       tick_nic_drops += burst;
@@ -806,8 +814,8 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
       if (tick_nic_drops > 0) ssa->rx_dropped_events += 1.0;
       ssa->ring_hiwater = std::max(ssa->ring_hiwater, tick_ring_occ);
       if (tick_pause) ssa->pause_frames += 1.0;
-      if (receiver_.hw_gro_active() && gro > 0) {
-        ssa->hw_gro_aggs += total_accepted / gro;
+      if (rcv_hw_gro_ && gro_bytes_ > 0) {
+        ssa->hw_gro_aggs += total_accepted / gro_bytes_;
       }
     }
   }
@@ -901,7 +909,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
     }
     f.inflight_bytes = 0.0;  // round model: everything resolves within a tick
     // EWMA keeps the cache-pressure feedback loop from oscillating.
-    f.prev_sent_bytes = 0.7 * f.prev_sent_bytes + 0.3 * f.sent_bytes;
+    f.prev_sent_bytes = sent_bytes_ewma(f.prev_sent_bytes, f.sent_bytes);
     f.lost_bytes = 0.0;
   }
 
@@ -969,7 +977,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
     in->rcv_backlog->set(backlog);
     in->goodput->set(units::rate_of(interval_bytes_this_tick, dt_sec));
     in->delivered->add(interval_bytes_this_tick);
-    in->gro_agg->set(gro);
+    in->gro_agg->set(gro_bytes_);
     in->sent_rate->set(units::rate_of(group_sent, dt_sec));
     in->snd_app->set(snd_app_u);
     in->snd_irq->set(snd_irq_u);
@@ -1110,6 +1118,11 @@ obs::PerfReport TransferSimulation::build_perf_report(Nanos now) const {
     r.flows.push_back(std::move(f));
   }
   return r;
+}
+
+double sent_bytes_ewma(double prev, double sent) {
+  if (sent == 0.0 && prev <= std::numeric_limits<double>::denorm_min()) return prev;
+  return 0.7 * prev + 0.3 * sent;
 }
 
 TransferResult run_transfer(const TransferConfig& cfg) {

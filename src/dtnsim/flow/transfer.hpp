@@ -13,6 +13,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dtnsim/host/host.hpp"
@@ -82,6 +83,13 @@ struct TransferResult {
   // Events crossed during the run (empty when no scenario was attached).
   scenario::EventLog scenario_log;
 };
+
+// One round of a flow's sent-bytes EWMA (0.7 old + 0.3 this round), the
+// in-flight estimate behind the sender's cache-pressure multiplier. A flow
+// that sends nothing decays to denorm_min, which 0.7x rounds back to itself;
+// from there the step returns `prev` unchanged without running the subnormal
+// arithmetic, which the CPU executes on a slow microcode path.
+double sent_bytes_ewma(double prev, double sent);
 
 class TransferSimulation {
  public:
@@ -218,8 +226,8 @@ class TransferSimulation {
 
   void tick(double dt_sec, double now_sec);
   // Crosses scenario boundaries up to now_sec and re-applies the folded
-  // overlay onto cfg_/path_ (the tick re-reads both every round, so a
-  // mutation lands on the next tick). Called only when a scenario is
+  // overlay onto cfg_/path_/nic_rx_ (the tick re-reads them every round, so
+  // a mutation lands on the next tick). Called only when a scenario is
   // attached (scn_ non-null).
   void apply_scenario(double now_sec);
   void update_jitter(FlowState& f);
@@ -245,6 +253,22 @@ class TransferSimulation {
   cpu::PlacementQuality rcv_quality_;
   std::unique_ptr<cpu::CostModel> snd_cost_;
   std::unique_ptr<cpu::CostModel> rcv_cost_;
+
+  // Round inputs fixed for the whole run, derived once in the constructor:
+  // the hosts and cost models are immutable, and no scenario overlay touches
+  // the zerocopy request, MTUs, SKB caps, core clocks or DMA caps.
+  bool zc_req_ = false;  // MSG_ZEROCOPY requested and the sender supports it
+  double mtu_ = 0.0;
+  double gso_bytes_ = 0.0;
+  double gro_bytes_ = 0.0;
+  double snd_core_hz_ = 0.0;
+  double rcv_core_hz_ = 0.0;
+  double snd_dma_bps_ = 0.0;
+  double rcv_dma_bps_ = 0.0;
+  bool rcv_hw_gro_ = false;
+  // The receiver NIC the round's arrivals cross. Its ring size and pause
+  // setting can change mid-run, so apply_scenario rebuilds it.
+  std::optional<net::NicRx> nic_rx_;
 
   // Accumulated utilization (cycle-weighted across the run).
   RunningStats snd_app_util_, snd_irq_util_, rcv_app_util_, rcv_irq_util_;

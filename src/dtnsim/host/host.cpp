@@ -30,11 +30,6 @@ cpu::CostModel Host::make_cost_model(const cpu::PlacementQuality& quality) const
   return cpu::CostModel(cfg_.cpu, opts);
 }
 
-double Host::dma_cap_bps() const {
-  cpu::CostModelOptions opts;
-  opts.stack_factor = stack_factor();
-  opts.iommu_passthrough = cfg_.tuning.iommu_passthrough;
-  return cpu::CostModel(cfg_.cpu, opts).dma_throughput_cap_bps();
-}
+double Host::dma_cap_bps() const { return make_cost_model({}).dma_throughput_cap_bps(); }
 
 }  // namespace dtnsim::host

@@ -69,7 +69,9 @@ class Host {
   // Memory bandwidth the network stack may consume (bytes/s).
   double stack_mem_bw_bytes() const { return cfg_.cpu.stack_mem_bw_bytes; }
 
-  // Host-wide DMA cap (iommu): bits/s.
+  // Host-wide DMA cap (iommu): bits/s. It depends on neither placement nor
+  // virtualization, so any of this host's cost models reports the same cap;
+  // the flow engine reads it from the models it already holds.
   double dma_cap_bps() const;
 
  private:

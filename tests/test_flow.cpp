@@ -2,6 +2,11 @@
 // backpressure, interval accounting) on small, fast configurations.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfenv>
+#include <cstdint>
+#include <limits>
+
 #include "dtnsim/flow/transfer.hpp"
 #include "dtnsim/harness/testbeds.hpp"
 
@@ -159,6 +164,30 @@ TEST(Transfer, MoreStreamsMoreThroughputUntilSaturation) {
   cfg.streams = 4;
   const auto four = run_transfer(cfg);
   EXPECT_GT(four.throughput_bps, one.throughput_bps * 3.0);
+}
+
+// A departed flow's sent-bytes EWMA decays through the subnormals to
+// denorm_min and stays there; the step must equal the plain formula bit for
+// bit all the way down and stop doing subnormal arithmetic once it settles.
+TEST(SentBytesEwma, MatchesFormulaBitForBit) {
+  double prev = 3.0e6, ref = 3.0e6;
+  for (int i = 0; i < 3000; ++i) {
+    const double sent = i < 200 ? 1.0e6 + i : 0.0;  // sending, then departed
+    prev = sent_bytes_ewma(prev, sent);
+    ref = 0.7 * ref + 0.3 * sent;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(prev), std::bit_cast<std::uint64_t>(ref)) << i;
+  }
+  EXPECT_EQ(prev, std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(sent_bytes_ewma(prev, 5.0), 0.7 * prev + 0.3 * 5.0);  // rejoining
+  EXPECT_EQ(sent_bytes_ewma(0.0, 0.0), 0.0);
+}
+
+TEST(SentBytesEwma, SettledStepDoesNoSubnormalArithmetic) {
+  double prev = 1.0e6;
+  for (int i = 0; i < 3000; ++i) prev = sent_bytes_ewma(prev, 0.0);
+  std::feclearexcept(FE_ALL_EXCEPT);
+  for (int i = 0; i < 1000; ++i) prev = sent_bytes_ewma(prev, 0.0);
+  EXPECT_FALSE(std::fetestexcept(FE_UNDERFLOW));
 }
 
 TEST(Transfer, ZeroDurationSafe) {

@@ -95,9 +95,9 @@ TEST(Host, StackFactorFollowsVendor) {
 
 TEST(Host, DmaCapInfiniteWithPassthrough) {
   HostConfig cfg;
-  EXPECT_TRUE(std::isinf(Host(cfg).dma_cap_bps()));
+  EXPECT_TRUE(std::isinf(Host(cfg).make_cost_model({}).dma_throughput_cap_bps()));
   cfg.tuning.iommu_passthrough = false;
-  EXPECT_LT(Host(cfg).dma_cap_bps(), 100e9);
+  EXPECT_LT(Host(cfg).make_cost_model({}).dma_throughput_cap_bps(), 100e9);
 }
 
 TEST(Vm, TunedVmNearlyFree) {

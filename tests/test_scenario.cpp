@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -236,6 +238,75 @@ TEST(ScenarioFluid, ScenarioRunsAreBitIdenticalAcrossJobs) {
     EXPECT_EQ(serial[i].samples_gbps, parallel[i].samples_gbps) << i;
     EXPECT_DOUBLE_EQ(serial[i].avg_retransmits, parallel[i].avg_retransmits);
   }
+}
+
+// The fluid engine caches its NicRx for the run; these pin that a ring or
+// pause overlay landing at t=0 still reaches every round, exactly as if the
+// host had been configured that way from the start.
+flow::TransferConfig lan_transfer(int ring_descriptors, bool flow_control, Timeline tl) {
+  const auto tb = harness::esnet(kern::KernelVersion::V6_8);
+  flow::TransferConfig cfg;
+  cfg.sender = tb.sender;
+  cfg.receiver = tb.receiver;
+  cfg.receiver.tuning.ring_descriptors = ring_descriptors;
+  cfg.link_flow_control = flow_control;
+  cfg.path = tb.lan();
+  cfg.streams = 2;
+  cfg.duration = units::SimTime::from_seconds(2);
+  cfg.seed = 7;
+  cfg.scenario = std::move(tl);
+  return cfg;
+}
+
+Timeline at_start(EventKind kind, double value) {
+  Timeline tl;
+  tl.name = "nic";
+  tl.events.push_back(make_event(0.0, kind, value));
+  return tl;
+}
+
+// Every simulated field of a TransferResult, as raw bits (the scenario log
+// is left out: only one of the two runs has events).
+std::vector<std::uint64_t> result_bits(const flow::TransferResult& r) {
+  std::vector<double> v = {r.duration_sec,          r.throughput_bps,
+                           r.retransmit_segments,   r.sender_cpu.app_util,
+                           r.sender_cpu.irq_util,   r.sender_cpu.cores_pct,
+                           r.receiver_cpu.app_util, r.receiver_cpu.irq_util,
+                           r.receiver_cpu.cores_pct, r.zc_bytes,
+                           r.zc_fallback_bytes,     r.dropped_bytes_nic,
+                           r.dropped_bytes_path,    r.pause_frames_seen ? 1.0 : 0.0};
+  v.insert(v.end(), r.per_flow_bps.begin(), r.per_flow_bps.end());
+  v.insert(v.end(), r.interval_bps.begin(), r.interval_bps.end());
+  std::vector<std::uint64_t> bits;
+  for (double d : v) bits.push_back(std::bit_cast<std::uint64_t>(d));
+  return bits;
+}
+
+TEST(ScenarioFluid, RingResizeAtStartEqualsConfiguredRing) {
+  constexpr int kSmallRing = 64;
+  const auto base = flow::run_transfer(lan_transfer(8192, false, {}));
+  const auto configured = flow::run_transfer(lan_transfer(kSmallRing, false, {}));
+  const auto resized = flow::run_transfer(
+      lan_transfer(8192, false, at_start(EventKind::NicRingResize, kSmallRing)));
+  ASSERT_EQ(resized.scenario_log.events.size(), 1u);
+  EXPECT_TRUE(resized.scenario_log.events[0].applied);
+  EXPECT_EQ(result_bits(resized), result_bits(configured));
+  // The small ring overflows where the default one does not.
+  EXPECT_GT(configured.dropped_bytes_nic, base.dropped_bytes_nic);
+}
+
+TEST(ScenarioFluid, PauseToggleAtStartEqualsConfiguredFlowControl) {
+  constexpr int kSmallRing = 64;  // overflows, so pause frames have work to do
+  const auto base = flow::run_transfer(lan_transfer(kSmallRing, false, {}));
+  const auto configured = flow::run_transfer(lan_transfer(kSmallRing, true, {}));
+  const auto toggled = flow::run_transfer(
+      lan_transfer(kSmallRing, false, at_start(EventKind::NicPauseToggle, 1.0)));
+  ASSERT_EQ(toggled.scenario_log.events.size(), 1u);
+  EXPECT_TRUE(toggled.scenario_log.events[0].applied);
+  EXPECT_EQ(result_bits(toggled), result_bits(configured));
+  EXPECT_TRUE(configured.pause_frames_seen);
+  EXPECT_FALSE(base.pause_frames_seen);
+  EXPECT_NE(result_bits(configured), result_bits(base));
 }
 
 // ---- packet engine --------------------------------------------------------

@@ -1,6 +1,14 @@
 // Unit tests: congestion control (CUBIC, BBR, Reno) and RTT estimation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfenv>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "dtnsim/tcp/bbr.hpp"
 #include "dtnsim/tcp/cc.hpp"
 #include "dtnsim/tcp/cubic.hpp"
@@ -163,6 +171,86 @@ TEST(Rtt, IgnoresNonPositive) {
   e.add_sample(-1.0);
   e.add_sample(0.0);
   EXPECT_FALSE(e.has_sample());
+}
+
+// The RFC 6298 update exactly as written before the fixed-point early return,
+// the reference the estimator must match bit for bit.
+struct ReferenceRtt {
+  bool has_sample = false;
+  double srtt = 0.0;
+  double rttvar = 0.0;
+  double min_rtt = 1e9;
+
+  void add_sample(double rtt_sec) {
+    if (rtt_sec <= 0) return;
+    min_rtt = std::min(min_rtt, rtt_sec);
+    if (!has_sample) {
+      srtt = rtt_sec;
+      rttvar = rtt_sec / 2.0;
+      has_sample = true;
+      return;
+    }
+    const double err = std::fabs(srtt - rtt_sec);
+    rttvar = 0.75 * rttvar + 0.25 * err;
+    srtt = 0.875 * srtt + 0.125 * rtt_sec;
+  }
+};
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Feeds `samples` to both estimators and compares every field after every
+// sample; returns the index of the first mismatch, or -1.
+long first_mismatch(const std::vector<double>& samples) {
+  RttEstimator e;
+  ReferenceRtt ref;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    e.add_sample(samples[i]);
+    ref.add_sample(samples[i]);
+    if (e.has_sample() != ref.has_sample || !same_bits(e.srtt_sec(), ref.srtt) ||
+        !same_bits(e.rttvar_sec(), ref.rttvar) || !same_bits(e.min_rtt_sec(), ref.min_rtt)) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
+}
+
+constexpr double kLanRtt = 200e-6;  // fluid LAN round: rttvar decays to 0 here
+
+TEST(Rtt, ConstantSamplesReachTheSubnormalFixedPointBitIdentically) {
+  const std::vector<double> samples(5000, kLanRtt);
+  EXPECT_EQ(first_mismatch(samples), -1);
+  RttEstimator e;
+  for (double s : samples) e.add_sample(s);
+  EXPECT_LE(e.rttvar_sec(), 2.0 * std::numeric_limits<double>::denorm_min());
+}
+
+TEST(Rtt, StepAfterTheFixedPointMatchesReference) {
+  // link_add_rtt: the RTT jumps after the estimator has settled, then
+  // returns to the base value.
+  std::vector<double> samples(5000, kLanRtt);
+  samples.insert(samples.end(), 3000, kLanRtt + 0.010);
+  samples.insert(samples.end(), 3000, kLanRtt);
+  EXPECT_EQ(first_mismatch(samples), -1);
+}
+
+TEST(Rtt, SeededRandomSamplesMatchReference) {
+  std::mt19937_64 gen(20241117);
+  std::uniform_real_distribution<double> rtt(1e-6, 0.2);
+  std::uniform_int_distribution<int> run(1, 3000);
+  std::vector<double> samples;
+  // Independent samples, then runs of one value: some long enough to reach
+  // the fixed point, some not.
+  while (samples.size() < 10000) samples.push_back(rtt(gen));
+  while (samples.size() < 60000) samples.insert(samples.end(), run(gen), rtt(gen));
+  EXPECT_EQ(first_mismatch(samples), -1);
+}
+
+TEST(Rtt, SettledEstimatorDoesNoSubnormalArithmetic) {
+  RttEstimator e;
+  for (int i = 0; i < 3000; ++i) e.add_sample(kLanRtt);
+  std::feclearexcept(FE_ALL_EXCEPT);
+  for (int i = 0; i < 1000; ++i) e.add_sample(kLanRtt);
+  EXPECT_FALSE(std::fetestexcept(FE_UNDERFLOW));
 }
 
 }  // namespace
