@@ -56,6 +56,7 @@ struct SimState {
   // Mutable state.
   double inflight = 0.0;
   Nanos tx_free_at = 0;       // sender core busy until
+  Nanos send_wake_at = -1;    // pending try_send wakeup (-1: none), see arm_send
   int ring_used = 0;
   bool napi_busy = false;
   Nanos last_departure = -1;
@@ -285,13 +286,29 @@ void on_arrival(SimState& s, int segments) {
   }
 }
 
+// Wake the sender at `at` (always after now). One pending wakeup per time
+// is enough: a second one queued behind it would find the window, the core
+// and the clock as the first left them — every inflight change (on_ack)
+// calls try_send at once and tx_free_at moves only on a send — and do
+// nothing. Skipping it leaves the (time, seq) order of every other event
+// unchanged, so outputs are byte-identical, and the cost of a run is linear
+// in its horizon instead of each ACK adding a wakeup chain of its own.
+void arm_send(SimState& s, Nanos at) {
+  if (s.send_wake_at == at) return;
+  s.send_wake_at = at;
+  s.engine.schedule_at(at, [&s, at] {
+    if (s.send_wake_at == at) s.send_wake_at = -1;
+    try_send(s);
+  });
+}
+
 void try_send(SimState& s) {
   while (s.inflight + s.gso_bytes <= s.cfg->window_bytes) {
     if (s.engine.now() >= s.cfg->duration.nanos()) return;
     // Sender core serializes super-packet preparation.
     const Nanos ready = std::max(s.engine.now(), s.tx_free_at);
     if (ready > s.engine.now()) {
-      s.engine.schedule_at(ready, [&s] { try_send(s); });
+      arm_send(s, ready);
       return;
     }
     s.tx_free_at = s.engine.now() + s.tx_prep_ns;
@@ -346,7 +363,7 @@ void try_send(SimState& s) {
 
     if (s.tx_prep_ns > 0) {
       // Come back when the core is free; avoids unbounded same-time loops.
-      s.engine.schedule_at(s.tx_free_at, [&s] { try_send(s); });
+      arm_send(s, s.tx_free_at);
       return;
     }
   }
@@ -450,14 +467,7 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
 
   if (!cfg.scenario.empty()) {
     s.scn = std::make_unique<scenario::Runtime>(
-        cfg.scenario, cfg.seed, "packet",
-        std::vector<scenario::EventKind>{
-            scenario::EventKind::LossBurst, scenario::EventKind::ReorderBurst,
-            scenario::EventKind::LinkDown, scenario::EventKind::LinkUp,
-            scenario::EventKind::LinkAddRtt,
-            scenario::EventKind::NicRingResize,
-            scenario::EventKind::QdiscPacingRate,
-            scenario::EventKind::IrqDrainDegrade});
+        cfg.scenario, cfg.seed, "packet", scenario::kPacketEngineKinds);
     s.scn_base_half_rtt = s.half_rtt;
     s.scn_base_ring = s.ring_capacity;
     s.scn_base_rx_segment_ns = s.rx_segment_ns;
@@ -622,6 +632,7 @@ PacketSimResult run_packet_sim(const PacketSimConfig& cfg) {
 
   s.engine.schedule(0, [&s] { try_send(s); });
   s.engine.run_until(horizon);
+  s.res.events_executed = s.engine.events_executed();
 
   if (s.scn) {
     // Cross any boundaries past the last engine event so the log is

@@ -12,6 +12,12 @@
 //   - GRO builds aggregates of the expected size,
 //   - achieved throughput equals min(pacing, window/RTT, drain).
 // The unit tests and micro-benches exercise it directly.
+//
+// Cost is linear in the horizon, a few events per super-packet
+// (PacketSimResult::events_executed): the sender keeps at most one pending
+// wakeup per time. Every ACK calls the sender at once and its core's
+// busy-until time moves only on a send, so a second wakeup queued behind
+// the first at the same time could only find nothing to do.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +74,9 @@ struct PacketSimResult {
   double interdeparture_mean_ns = 0.0;
   double interdeparture_stddev_ns = 0.0;
   int ring_peak = 0;                    // max descriptors in use
+  // Engine events the run executed: a deterministic work counter for the
+  // engine's own cost, not a simulated quantity.
+  std::uint64_t events_executed = 0;
   // What the scenario runtime fired (empty when no timeline was configured).
   scenario::EventLog scenario_log;
 };

@@ -231,17 +231,7 @@ TransferResult TransferSimulation::run() {
     // jitter from a jump-separated substream of the run seed, never from
     // rng_, so attaching a scenario does not shift any engine draw.
     scn_ = std::make_unique<scenario::Runtime>(
-        cfg_.scenario, cfg_.seed, "fluid",
-        std::vector<scenario::EventKind>{
-            scenario::EventKind::LinkCapacity, scenario::EventKind::LinkAddRtt,
-            scenario::EventKind::LossBurst, scenario::EventKind::ReorderBurst,
-            scenario::EventKind::LinkDown, scenario::EventKind::LinkUp,
-            scenario::EventKind::BgSurge, scenario::EventKind::NicRingResize,
-            scenario::EventKind::NicPauseToggle,
-            scenario::EventKind::IrqDrainDegrade, scenario::EventKind::QdiscSwap,
-            scenario::EventKind::QdiscPacingRate,
-            scenario::EventKind::SysctlOptmem, scenario::EventKind::FlowArrive,
-            scenario::EventKind::FlowDepart});
+        cfg_.scenario, cfg_.seed, "fluid", scenario::kFluidEngineKinds);
     scn_base_path_ = cfg_.path;
     scn_base_ring_ = cfg_.receiver.tuning.ring_descriptors;
     scn_base_lfc_ = cfg_.link_flow_control;

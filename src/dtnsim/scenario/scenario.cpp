@@ -279,7 +279,7 @@ std::vector<double> fire_times(const Timeline& timeline, std::uint64_t seed) {
 }  // namespace
 
 Runtime::Runtime(const Timeline& timeline, std::uint64_t seed,
-                 std::string engine, std::vector<EventKind> supported)
+                 std::string engine, std::span<const EventKind> supported)
     : name_(timeline.name), engine_(std::move(engine)) {
   timeline.validate();
   const std::vector<double> fires = fire_times(timeline, seed);

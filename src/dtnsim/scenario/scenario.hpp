@@ -23,9 +23,11 @@
 //     are bit-identical to builds that predate this subsystem.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,6 +72,24 @@ enum class EventKind {
 };
 
 inline constexpr int kEventKindCount = 15;
+
+// The kinds each engine applies; a Runtime logs every other kind with
+// applied=false. The fluid engine applies all of them, the packet engine
+// the fast-timescale kinds with an SKB-level counterpart.
+inline constexpr std::array<EventKind, kEventKindCount> kFluidEngineKinds = {
+    EventKind::LinkCapacity,    EventKind::LinkAddRtt,
+    EventKind::LossBurst,       EventKind::ReorderBurst,
+    EventKind::LinkDown,        EventKind::LinkUp,
+    EventKind::BgSurge,         EventKind::NicRingResize,
+    EventKind::NicPauseToggle,  EventKind::IrqDrainDegrade,
+    EventKind::QdiscSwap,       EventKind::QdiscPacingRate,
+    EventKind::SysctlOptmem,    EventKind::FlowArrive,
+    EventKind::FlowDepart};
+inline constexpr std::array<EventKind, 8> kPacketEngineKinds = {
+    EventKind::LossBurst,       EventKind::ReorderBurst,
+    EventKind::LinkDown,        EventKind::LinkUp,
+    EventKind::LinkAddRtt,      EventKind::NicRingResize,
+    EventKind::QdiscPacingRate, EventKind::IrqDrainDegrade};
 
 // Stable wire name ("link_capacity", "loss_burst", ...) used by the JSON
 // format, the event log and the trace instants.
@@ -164,7 +184,7 @@ Timeline timeline_from_log(const EventLog& log);
 class Runtime {
  public:
   Runtime(const Timeline& timeline, std::uint64_t seed, std::string engine,
-          std::vector<EventKind> supported);
+          std::span<const EventKind> supported);
 
   // Crosses every boundary in (last_now, now_sec]; true if Effects changed.
   bool advance(double now_sec);

@@ -2,8 +2,14 @@
 // model's assumptions (pacing spacing, ring overruns, GRO geometry).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "dtnsim/flow/packet_sim.hpp"
 #include "dtnsim/harness/testbeds.hpp"
+#include "dtnsim/obs/telemetry.hpp"
 
 namespace dtnsim::flow {
 namespace {
@@ -138,6 +144,191 @@ TEST(PacketSim, ConservationSegments) {
   EXPECT_LE(r.delivered_bytes + dropped_bytes, sent_bytes + 1.0);
   EXPECT_GE(r.delivered_bytes + dropped_bytes,
             sent_bytes - cfg.window_bytes - 70e3);
+}
+
+// ---- bit-identity golden ---------------------------------------------------
+// Every PacketSimResult field (doubles as %a, so a last-bit change shows),
+// the scenario event log, and under telemetry the probe series and the final
+// ss/perf reports, for the selfperf pkt_lan classes at short horizons, an
+// AmLight run under a fault timeline, and a telemetry-on run. Speed-ups to
+// the engine must leave this file unchanged, so events_executed, which
+// counts the engine's own work, is left out. A deliberate model change
+// regenerates the file from packet_sim_results.actual.txt, which a
+// mismatching run writes into the test's working directory.
+
+std::string hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+void print_result(std::ostringstream& out, const std::string& name,
+                  const PacketSimResult& r) {
+  out << "case " << name << "\n"
+      << "  superpackets_sent " << r.superpackets_sent << "\n"
+      << "  segments_sent " << r.segments_sent << "\n"
+      << "  segments_dropped " << r.segments_dropped << "\n"
+      << "  segments_lost_path " << r.segments_lost_path << "\n"
+      << "  aggregates " << r.aggregates << "\n"
+      << "  delivered_bytes " << hex(r.delivered_bytes) << "\n"
+      << "  achieved_bps " << hex(r.achieved_bps) << "\n"
+      << "  mean_aggregate_bytes " << hex(r.mean_aggregate_bytes) << "\n"
+      << "  interdeparture_mean_ns " << hex(r.interdeparture_mean_ns) << "\n"
+      << "  interdeparture_stddev_ns " << hex(r.interdeparture_stddev_ns) << "\n"
+      << "  ring_peak " << r.ring_peak << "\n";
+  const auto& lg = r.scenario_log;
+  out << "  scenario_log engine=" << lg.engine << " timeline=" << lg.timeline
+      << " events=" << lg.events.size() << "\n";
+  for (const auto& e : lg.events) {
+    out << "    " << scenario::kind_name(e.kind) << " fire=" << hex(e.fire_sec)
+        << " end=" << hex(e.end_sec) << " value=" << hex(e.value)
+        << " applied=" << e.applied << " note=" << e.note << "\n";
+  }
+}
+
+// The pkt_lan classes of selfperf on the ESnet LAN: window_bound is the
+// engine's defaults (8 MB window, unpaced), the others start from it.
+PacketSimConfig window_bound(double horizon_ms) {
+  const auto tb = harness::esnet();
+  PacketSimConfig cfg;
+  cfg.sender = tb.sender;
+  cfg.receiver = tb.receiver;
+  cfg.path = tb.lan();
+  cfg.duration = units::SimTime::from_millis(horizon_ms);
+  return cfg;
+}
+
+PacketSimConfig sender_bound(double horizon_ms) {
+  auto cfg = window_bound(horizon_ms);
+  cfg.receiver.tuning.ring_descriptors = 256;
+  cfg.rx_segment_ns_override = 600.0;
+  return cfg;
+}
+
+scenario::Event event(double at_ms, scenario::EventKind kind, double value,
+                      double duration_ms, double jitter_ms = 0.0) {
+  scenario::Event e;
+  e.at_sec = at_ms * 1e-3;
+  e.kind = kind;
+  e.value = value;
+  e.duration_sec = duration_ms * 1e-3;
+  e.jitter_sec = jitter_ms * 1e-3;
+  e.note = std::string(scenario::kind_name(kind));
+  return e;
+}
+
+std::string packet_golden_text() {
+  std::ostringstream out;
+  print_result(out, "window_bound_50ms", run_packet_sim(window_bound(50)));
+  {
+    auto cfg = window_bound(50);
+    cfg.pacing_bps = 40e9;
+    print_result(out, "paced_50ms", run_packet_sim(cfg));
+  }
+  {
+    auto cfg = window_bound(50);
+    cfg.receiver.tuning.ring_descriptors = 256;
+    cfg.rx_segment_ns_override = 2000.0;
+    print_result(out, "ring_overrun_50ms", run_packet_sim(cfg));
+  }
+  for (const double h : {10.0, 20.0}) {
+    print_result(out, "sender_bound_" + std::to_string(static_cast<int>(h)) + "ms",
+                 run_packet_sim(sender_bound(h)));
+  }
+  {
+    // AmLight LAN under a fault timeline: every kind the packet engine
+    // applies (loss burst, link flap, ring resize under a degraded drain,
+    // pacing retune, reorder, added RTT), plus two it logs as unsupported.
+    using K = scenario::EventKind;
+    auto cfg = base_cfg();
+    cfg.pacing_bps = units::gbps(20);
+    cfg.window_bytes = 64e6;
+    cfg.seed = 7;
+    cfg.scenario.name = "golden_faults";
+    cfg.scenario.events = {
+        event(2, K::LossBurst, 0.02, 3, 0.5),
+        event(6, K::LinkDown, 0, 0),
+        event(7, K::LinkUp, 0, 0),
+        event(9, K::NicRingResize, 256, 4),
+        event(9, K::IrqDrainDegrade, 0.1, 4),
+        event(12, K::QdiscPacingRate, 0, 4, 0.25),
+        event(14, K::BgSurge, 5e9, 2),
+        event(15, K::SysctlOptmem, 20480, 0),
+        event(16, K::ReorderBurst, 0.05, 2),
+        event(17, K::LinkAddRtt, 1e-3, 2),
+    };
+    print_result(out, "amlight_scenario_20ms", run_packet_sim(cfg));
+  }
+  {
+    obs::TelemetryConfig tcfg;
+    tcfg.enabled = true;
+    tcfg.probe_interval = units::SimTime::from_micros(100).nanos();
+    tcfg.ss_enabled = true;
+    tcfg.ss_interval = tcfg.probe_interval;
+    tcfg.perf_enabled = true;
+    tcfg.perf_interval = tcfg.probe_interval;
+    obs::Telemetry tel(tcfg);
+    auto cfg = base_cfg();
+    cfg.pacing_bps = units::gbps(20);
+    cfg.window_bytes = 2e6;
+    cfg.duration = units::SimTime::from_millis(2);
+    cfg.telemetry = &tel;
+    print_result(out, "amlight_telemetry_2ms", run_packet_sim(cfg));
+    const auto& series = tel.series();
+    out << "  probe";
+    for (const auto& c : series.columns) out << " " << c;
+    out << "\n";
+    for (const auto& row : series.rows) {
+      out << "   ";
+      for (const double v : row) out << " " << hex(v);
+      out << "\n";
+    }
+    out << "  ss_samples " << tel.ss().log().size() << " last "
+        << obs::to_json(tel.ss().log().back()).dump() << "\n";
+    out << "  perf_samples " << tel.perf().log().size() << " last "
+        << obs::to_json(tel.perf().log().back()).dump() << "\n";
+  }
+  return out.str();
+}
+
+TEST(PacketSimGolden, OutputsMatchCheckedInGolden) {
+  const std::string golden_path =
+      std::string(DTNSIM_SOURCE_DIR) + "/tests/golden/packet_sim_results.txt";
+  std::ifstream in(golden_path);
+  std::stringstream golden;
+  golden << in.rdbuf();
+  const std::string actual = packet_golden_text();
+  if (actual != golden.str()) {
+    std::ofstream("packet_sim_results.actual.txt") << actual;
+  }
+  ASSERT_TRUE(in.is_open()) << golden_path;
+  EXPECT_TRUE(actual == golden.str())
+      << "packet engine output drifted from " << golden_path
+      << "; the run's output is in packet_sim_results.actual.txt";
+}
+
+// ---- engine work ------------------------------------------------------------
+// The sender keeps one pending wakeup, so a run's events grow linearly with
+// its horizon and stay a few per super-packet: GSO send, wire arrival, NAPI
+// poll and completion, ACK.
+
+double events_per_superpacket(const PacketSimResult& r) {
+  return static_cast<double>(r.events_executed) /
+         static_cast<double>(r.superpackets_sent);
+}
+
+TEST(PacketSimWork, SenderBoundEventsStayLinearInHorizon) {
+  for (const double h : {10.0, 20.0, 40.0}) {
+    const auto r = run_packet_sim(sender_bound(h));
+    ASSERT_GT(r.superpackets_sent, 0u) << h;
+    EXPECT_LE(events_per_superpacket(r), 6.0) << h << " ms: " << r.events_executed;
+  }
+}
+
+TEST(PacketSimWork, WindowBoundEventsPerSuperpacket) {
+  const auto r = run_packet_sim(window_bound(50));
+  ASSERT_GT(r.superpackets_sent, 0u);
+  EXPECT_LE(events_per_superpacket(r), 4.0) << r.events_executed;
 }
 
 }  // namespace

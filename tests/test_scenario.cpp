@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -158,7 +159,7 @@ TEST(ScenarioRuntime, EffectsFoldAndExpire) {
   tl.events.push_back(make_event(14.0, EventKind::BgSurge, 2e9, 10.0));
 
   Runtime rt(tl, 1, "fluid",
-             {EventKind::LossBurst, EventKind::BgSurge});
+             std::array{EventKind::LossBurst, EventKind::BgSurge});
   EXPECT_FALSE(rt.advance(5.0));  // nothing fired yet
   EXPECT_DOUBLE_EQ(rt.effects().loss_frac, 0.0);
 
@@ -178,10 +179,19 @@ TEST(ScenarioRuntime, EffectsFoldAndExpire) {
   EXPECT_EQ(rt.applied_count(), 3u);
 }
 
+TEST(ScenarioRuntime, FluidEngineTableListsEveryKindOnce) {
+  for (int k = 0; k < kEventKindCount; ++k) {
+    EXPECT_EQ(std::count(kFluidEngineKinds.begin(), kFluidEngineKinds.end(),
+                         static_cast<EventKind>(k)),
+              1)
+        << kind_name(static_cast<EventKind>(k));
+  }
+}
+
 TEST(ScenarioRuntime, UnsupportedKindsLogAppliedFalse) {
   Timeline tl;
   tl.events.push_back(make_event(1.0, EventKind::SysctlOptmem, 65536));
-  Runtime rt(tl, 1, "packet", {EventKind::LossBurst});  // optmem unsupported
+  Runtime rt(tl, 1, "packet", std::array{EventKind::LossBurst});  // optmem unsupported
   rt.advance(2.0);
   ASSERT_EQ(rt.log().size(), 1u);
   EXPECT_FALSE(rt.log()[0].applied);

@@ -123,9 +123,14 @@ TEST(Engine, EveryRequeuesOnlyAfterCallbackReturns) {
   // was queued before the re-queue, so it runs first.
   Engine e;
   std::vector<std::string> log;
+  // Built with += : GCC 12's -Wrestrict misfires on "P" + std::to_string().
+  auto entry = [&e](std::string tag) {
+    tag += std::to_string(e.now());
+    return tag;
+  };
   e.every(100, 200, [&] {
-    log.push_back("P" + std::to_string(e.now()));
-    e.schedule(100, [&] { log.push_back("O" + std::to_string(e.now())); });
+    log.push_back(entry("P"));
+    e.schedule(100, [&] { log.push_back(entry("O")); });
   });
   e.run();
   EXPECT_EQ(log, (std::vector<std::string>{"P100", "O200", "P200", "O300"}));
