@@ -68,8 +68,9 @@ struct CliOptions {
   int repeats = 1;
   std::uint64_t seed = 0x5eed;
   // Worker pool size for batch execution (harness::run_tests / the sweep
-  // campaign engine). 1 = serial, 0 = one worker per hardware thread. A
-  // single-spec run ignores it.
+  // campaign engine). 1 = one spec at a time, 0 = one worker per usable CPU.
+  // A single-spec run ignores it. Either way a spec's repeats run
+  // concurrently, unless the spec itself runs on a pool worker.
   int jobs = 1;
   // Telemetry: any of these switches the probe/trace machinery on.
   double probe_interval_sec = 1.0;

@@ -59,6 +59,27 @@ TransferSimulation::TransferSimulation(TransferConfig cfg)
   snd_dma_bps_ = snd_cost_->dma_throughput_cap_bps();
   rcv_dma_bps_ = rcv_cost_->dma_throughput_cap_bps();
   rcv_hw_gro_ = receiver_.hw_gro_active();
+
+  cpu::TxPathConfig irq_cfg;  // per-byte IRQ cost is geometry-only
+  irq_cfg.gso_bytes = gso_bytes_;
+  irq_cfg.mtu_bytes = mtu_;
+  tx_irq_pb_ = snd_cost_->tx_irq_cyc_per_byte(irq_cfg);
+  tx_irq_spb_ = snd_cost_->tx_irq_stage_cyc(irq_cfg);
+  cpu::TxPathConfig mc = irq_cfg;
+  mc.zc_fraction = zc_req_ ? 1.0 : 0.0;  // approximate: zc flows mostly zc
+  tx_mem_passes_ = snd_cost_->tx_mem_passes(mc);
+
+  cpu::RxPathConfig rxc;
+  rxc.gro_bytes = gro_bytes_;
+  rxc.mtu_bytes = mtu_;
+  rxc.copy_to_user = !cfg_.flow.skip_rx_copy;
+  rxc.hw_gro = rcv_hw_gro_;
+  rx_app_pb_ = rcv_cost_->rx_app_cyc_per_byte(rxc);
+  rx_irq_pb_ = rcv_cost_->rx_irq_cyc_per_byte(rxc);
+  rx_mem_passes_ = rcv_cost_->rx_mem_passes(rxc);
+  rx_app_spb_ = rcv_cost_->rx_app_stage_cyc(rxc);
+  rx_irq_spb_ = rcv_cost_->rx_irq_stage_cyc(rxc);
+
   net::NicSpec rx_nic = cfg_.receiver.nic;
   if (rcv_hw_gro_) {
     // SHAMPO merges in hardware and splits headers from data: the NIC-to-
@@ -479,20 +500,11 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   }
 
   // ---- Sender: shared resource scaling ----------------------------------
-  cpu::TxPathConfig irq_cfg;  // per-byte IRQ cost is geometry-only
-  irq_cfg.gso_bytes = gso_bytes_;
-  irq_cfg.mtu_bytes = mtu_;
-  const double tx_irq_pb = snd_cost_->tx_irq_cyc_per_byte(irq_cfg);
-  cpu::TxIrqStageCyc tx_irq_spb{};
-  if (in && in->perf) tx_irq_spb = snd_cost_->tx_irq_stage_cyc(irq_cfg);
-
   double total_planned = 0.0, total_irq_need = 0.0, total_mem_need = 0.0;
   for (auto& f : flows_) {
     total_planned += f.planned_bytes;
-    total_irq_need += f.planned_bytes * tx_irq_pb;
-    cpu::TxPathConfig mc = irq_cfg;
-    mc.zc_fraction = zc_req_ ? 1.0 : 0.0;  // approximate: zc flows mostly zc
-    total_mem_need += f.planned_bytes * snd_cost_->tx_mem_passes(mc);
+    total_irq_need += f.planned_bytes * tx_irq_pb_;
+    total_mem_need += f.planned_bytes * tx_mem_passes_;
   }
   const double s_irq = scale_factor(total_irq_need, snd_irq_budget);
   const double s_line = scale_factor(total_planned, line_bytes);
@@ -515,7 +527,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
     }
     f.inflight_bytes = f.sent_bytes;
     snd_app_used += units::Cycles(f.sent_bytes * f.tx_app_cyc_per_byte);
-    snd_irq_used += units::Cycles(f.sent_bytes * tx_irq_pb);
+    snd_irq_used += units::Cycles(f.sent_bytes * tx_irq_pb_);
     group_sent += f.sent_bytes;
     if (in && in->perf) {
       // Split the exact charges above into stages; per-byte stage prices
@@ -530,12 +542,12 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
       add_stage(pa, fi, obs::PerfStage::TxZcPin, f.sent_bytes * pb.zc_pin);
       add_stage(pa, fi, obs::PerfStage::TxZcNotify, f.sent_bytes * pb.zc_notify);
       add_stage(pa, fi, obs::PerfStage::TxZcFallback, f.sent_bytes * pb.zc_fallback);
-      add_stage(pa, fi, obs::PerfStage::TxGsoSegment, f.sent_bytes * tx_irq_spb.gso_segment);
-      add_stage(pa, fi, obs::PerfStage::TxDmaMap, f.sent_bytes * tx_irq_spb.dma_map);
-      add_stage(pa, fi, obs::PerfStage::TxCompletion, f.sent_bytes * tx_irq_spb.completion);
+      add_stage(pa, fi, obs::PerfStage::TxGsoSegment, f.sent_bytes * tx_irq_spb_.gso_segment);
+      add_stage(pa, fi, obs::PerfStage::TxDmaMap, f.sent_bytes * tx_irq_spb_.dma_map);
+      add_stage(pa, fi, obs::PerfStage::TxCompletion, f.sent_bytes * tx_irq_spb_.completion);
       pa.consumed[static_cast<int>(obs::PerfCore::SndApp)] +=
           f.sent_bytes * f.tx_app_cyc_per_byte;
-      pa.consumed[static_cast<int>(obs::PerfCore::SndIrq)] += f.sent_bytes * tx_irq_pb;
+      pa.consumed[static_cast<int>(obs::PerfCore::SndIrq)] += f.sent_bytes * tx_irq_pb_;
       pa.bytes_sent += f.sent_bytes;
     }
   }
@@ -715,21 +727,6 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   }
 
   // ---- Receiver NIC per flow ---------------------------------------------
-  cpu::RxPathConfig rxc;
-  rxc.gro_bytes = gro_bytes_;
-  rxc.mtu_bytes = mtu_;
-  rxc.copy_to_user = !cfg_.flow.skip_rx_copy;
-  rxc.hw_gro = rcv_hw_gro_;
-  const double rx_app_pb = rcv_cost_->rx_app_cyc_per_byte(rxc);
-  const double rx_irq_pb = rcv_cost_->rx_irq_cyc_per_byte(rxc);
-  const double rx_mem_passes = rcv_cost_->rx_mem_passes(rxc);
-  cpu::RxAppStageCyc rx_app_spb{};
-  cpu::RxIrqStageCyc rx_irq_spb{};
-  if (in && in->perf) {
-    rx_app_spb = rcv_cost_->rx_app_stage_cyc(rxc);
-    rx_irq_spb = rcv_cost_->rx_irq_stage_cyc(rxc);
-  }
-
   double total_accepted = 0.0;
   double tick_nic_drops = 0.0, tick_ring_occ = 0.0;
   bool tick_pause = false;
@@ -758,8 +755,8 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   // slows — but transient overshoot occasionally overruns the ring and
   // drops for real (a rare stochastic event, not a per-tick certainty).
   const double rx_host_cap =
-      std::min({rcv_irq_budget / std::max(rx_irq_pb, 1e-12), rcv_dma_bytes,
-                rcv_mem_budget / std::max(rx_mem_passes, 1e-9)});
+      std::min({rcv_irq_budget / std::max(rx_irq_pb_, 1e-12), rcv_dma_bytes,
+                rcv_mem_budget / std::max(rx_mem_passes_, 1e-9)});
   if (total_accepted > rx_host_cap && total_accepted > 0) {
     const double overload = total_accepted / rx_host_cap;
     const double keep = rx_host_cap / total_accepted;
@@ -816,26 +813,26 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   double drain_min = 0.0, drain_max = 0.0;
   for (std::size_t fi = 0; fi < flows_.size(); ++fi) {
     auto& f = flows_[fi];
-    const double cap = rcv_app_budget / std::max(rx_app_pb, 1e-9);
+    const double cap = rcv_app_budget / std::max(rx_app_pb_, 1e-9);
     const double drain = std::min(f.rcv_backlog_bytes + f.arrived_bytes, cap);
     f.rcv_backlog_bytes = std::max(f.rcv_backlog_bytes + f.arrived_bytes - drain, 0.0);
     f.delivered_bytes += drain;
     interval_bytes_this_tick += drain;
-    rcv_app_used += units::Cycles(drain * rx_app_pb);
+    rcv_app_used += units::Cycles(drain * rx_app_pb_);
     if (in && in->perf) {
       // RX charge split: IRQ-side work scales with what the NIC accepted
       // (post-verdict arrived bytes — summing to total_accepted), app-side
       // work with what the application actually drained this round.
       auto& pa = *in->perf;
-      add_stage(pa, fi, obs::PerfStage::RxSkbAlloc, f.arrived_bytes * rx_irq_spb.skb_alloc);
-      add_stage(pa, fi, obs::PerfStage::RxGroMerge, f.arrived_bytes * rx_irq_spb.gro_merge);
-      add_stage(pa, fi, obs::PerfStage::RxAggFlush, f.arrived_bytes * rx_irq_spb.agg_flush);
-      add_stage(pa, fi, obs::PerfStage::RxCsum, f.arrived_bytes * rx_irq_spb.csum);
-      add_stage(pa, fi, obs::PerfStage::RxSyscall, drain * rx_app_spb.syscall);
-      add_stage(pa, fi, obs::PerfStage::RxFragWalk, drain * rx_app_spb.frag_walk);
-      add_stage(pa, fi, obs::PerfStage::RxCopyout, drain * rx_app_spb.copyout);
-      pa.consumed[static_cast<int>(obs::PerfCore::RcvIrq)] += f.arrived_bytes * rx_irq_pb;
-      pa.consumed[static_cast<int>(obs::PerfCore::RcvApp)] += drain * rx_app_pb;
+      add_stage(pa, fi, obs::PerfStage::RxSkbAlloc, f.arrived_bytes * rx_irq_spb_.skb_alloc);
+      add_stage(pa, fi, obs::PerfStage::RxGroMerge, f.arrived_bytes * rx_irq_spb_.gro_merge);
+      add_stage(pa, fi, obs::PerfStage::RxAggFlush, f.arrived_bytes * rx_irq_spb_.agg_flush);
+      add_stage(pa, fi, obs::PerfStage::RxCsum, f.arrived_bytes * rx_irq_spb_.csum);
+      add_stage(pa, fi, obs::PerfStage::RxSyscall, drain * rx_app_spb_.syscall);
+      add_stage(pa, fi, obs::PerfStage::RxFragWalk, drain * rx_app_spb_.frag_walk);
+      add_stage(pa, fi, obs::PerfStage::RxCopyout, drain * rx_app_spb_.copyout);
+      pa.consumed[static_cast<int>(obs::PerfCore::RcvIrq)] += f.arrived_bytes * rx_irq_pb_;
+      pa.consumed[static_cast<int>(obs::PerfCore::RcvApp)] += drain * rx_app_pb_;
     }
     if (fi == 0) {
       drain_min = drain_max = drain;
@@ -911,7 +908,7 @@ void TransferSimulation::tick(double dt_sec, double now_sec) {
   const double snd_irq_u = std::min(snd_irq_used.value() / snd_irq_budget, 1.0);
   const double rcv_app_u = std::min(
       rcv_app_used.value() / (rcv_app_budget * static_cast<double>(flows_.size())), 1.0);
-  const double rcv_irq_u = std::min(total_accepted * rx_irq_pb / rcv_irq_budget, 1.0);
+  const double rcv_irq_u = std::min(total_accepted * rx_irq_pb_ / rcv_irq_budget, 1.0);
   snd_app_util_.add(snd_app_u);
   snd_irq_util_.add(snd_irq_u);
   rcv_app_util_.add(rcv_app_u);

@@ -266,6 +266,17 @@ class TransferSimulation {
   double snd_dma_bps_ = 0.0;
   double rcv_dma_bps_ = 0.0;
   bool rcv_hw_gro_ = false;
+  // Per-byte prices that depend only on the geometry above: sender IRQ
+  // cycles and memory passes, receiver app/IRQ cycles and memory passes,
+  // and their perf stage splits (read only when perf attribution is on).
+  double tx_irq_pb_ = 0.0;
+  double tx_mem_passes_ = 0.0;
+  double rx_app_pb_ = 0.0;
+  double rx_irq_pb_ = 0.0;
+  double rx_mem_passes_ = 0.0;
+  cpu::TxIrqStageCyc tx_irq_spb_{};
+  cpu::RxAppStageCyc rx_app_spb_{};
+  cpu::RxIrqStageCyc rx_irq_spb_{};
   // The receiver NIC the round's arrivals cross. Its ring size and pause
   // setting can change mid-run, so apply_scenario rebuilds it.
   std::optional<net::NicRx> nic_rx_;

@@ -85,10 +85,21 @@ struct TestResult {
   std::shared_ptr<const report::RunRecord> record;
 };
 
+// Threading: the repeats run concurrently, as jobs of a sweep::WorkerPool of
+// min(repeats, usable CPUs) workers (usable = the calling thread's affinity
+// mask). They run inline on the calling thread, as one serial loop, when
+// there is one repeat, one usable CPU, or the caller is itself a pool worker
+// (so run_tests(specs, N > 1) and parallel campaigns never nest pools). Each
+// repeat owns its config copy, seed substream and Telemetry; everything
+// order-sensitive (statistics, per-repeat vectors, repeat 0's logs, the
+// record) is folded after the join in repeat order, so the result is
+// bit-identical however many workers ran.
 TestResult run_test(const TestSpec& spec);
 
 // Run a batch on a worker pool of `jobs` threads (1 = serial on the calling
-// thread, 0 = one worker per hardware thread).
+// thread, 0 = one worker per usable CPU). With jobs > 1 each spec's repeats
+// run inline on its worker; with jobs = 1 each spec's repeats spread over
+// the CPUs as described at run_test.
 //
 // Ordering guarantee (load-bearing; callers index results by spec position):
 // the returned vector is pre-sized to specs.size() and results[i] is always

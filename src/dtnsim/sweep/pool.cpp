@@ -1,17 +1,33 @@
 #include "dtnsim/sweep/pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 
 namespace dtnsim::sweep {
+namespace {
+
+thread_local bool t_on_worker = false;
+
+}  // namespace
 
 int resolve_jobs(int jobs) {
   if (jobs == 0) {
+    // hardware_concurrency() counts every CPU of the machine, including the
+    // ones taskset or a cpuset forbid this process to use.
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+      return std::max(CPU_COUNT(&mask), 1);
+    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
   }
   return std::max(jobs, 1);
 }
+
+bool on_worker_thread() { return t_on_worker; }
 
 WorkerPool::WorkerPool(int jobs) : jobs_(resolve_jobs(jobs)) {
   if (jobs_ <= 1) return;  // inline mode: no threads
@@ -78,6 +94,7 @@ double WorkerPool::busy_sec() const {
 }
 
 void WorkerPool::worker_loop() {
+  t_on_worker = true;
   while (true) {
     std::function<void()> job;
     {

@@ -8,6 +8,10 @@
 //     order never depends on completion order.
 //   - jobs <= 1 runs every job inline on the calling thread: the serial path
 //     spawns no threads at all and is the reference behaviour.
+//   - pools never nest: a job running on a pool worker sees
+//     on_worker_thread() == true, and harness::run_test then runs its
+//     repeats inline instead of starting a pool of its own. Inline jobs
+//     (jobs <= 1) run on the caller's thread and leave the flag as it is.
 //
 // This component is deliberately generic (std::function jobs, no harness
 // types) so it can sit *below* harness in the module layering: the sweep
@@ -27,9 +31,14 @@
 
 namespace dtnsim::sweep {
 
-// Resolve a --jobs value: 0 means one worker per hardware thread, anything
+// Resolve a --jobs value: 0 means one worker per CPU the calling thread may
+// run on (its affinity mask, so taskset and cpusets are honoured), anything
 // else clamps to at least 1.
 int resolve_jobs(int jobs);
+
+// True on a WorkerPool worker thread (for the whole of its life), false on
+// every other thread. Lets a job refrain from starting a nested pool.
+bool on_worker_thread();
 
 class WorkerPool {
  public:

@@ -5,6 +5,7 @@
 // parallel output must be bit-identical to serial, and a resumed campaign
 // must never re-simulate a completed cell.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -65,7 +66,33 @@ TEST(WorkerPool, ResolveJobs) {
   EXPECT_EQ(resolve_jobs(1), 1);
   EXPECT_EQ(resolve_jobs(4), 4);
   EXPECT_EQ(resolve_jobs(-3), 1);
-  EXPECT_GE(resolve_jobs(0), 1);  // hardware_concurrency, at least one
+  EXPECT_GE(resolve_jobs(0), 1);  // usable CPUs, at least one
+}
+
+TEST(WorkerPool, ResolveJobsHonoursAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(resolve_jobs(0), 1);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(resolve_jobs(0), CPU_COUNT(&saved));
+}
+
+TEST(WorkerPool, MarksOnlyWorkerThreads) {
+  EXPECT_FALSE(on_worker_thread());
+  for (const int jobs : {1, 2}) {
+    std::vector<int> flags(8, -1);
+    parallel_for(flags.size(), jobs,
+                 [&](std::size_t i) { flags[i] = on_worker_thread() ? 1 : 0; });
+    const int want = jobs > 1 ? 1 : 0;
+    EXPECT_EQ(std::count(flags.begin(), flags.end(), want), 8) << "jobs=" << jobs;
+  }
+  EXPECT_FALSE(on_worker_thread());
 }
 
 TEST(WorkerPool, RunsEveryJobExactlyOnce) {
